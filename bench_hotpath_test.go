@@ -3,87 +3,17 @@ package autodbaas_bench
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"autodbaas/internal/gp"
-	"autodbaas/internal/knobs"
-	"autodbaas/internal/simdb"
-	"autodbaas/internal/sqlparse"
-	"autodbaas/internal/workload"
 )
 
 // ---- hot-path pass benchmarks ----
 //
-// These measure the caches introduced by the hot-path pass in isolation
-// by toggling them around otherwise identical work; the equivalence
-// tests (internal/core/hotpath_equivalence_test.go) prove the toggles
-// change only speed, never results. cmd/benchrunner's `hotpath` job
-// runs the same shapes and writes BENCH_hotpath.json.
-
-// BenchmarkHotPathWindow is the Fig. 9 window phase (the per-window
-// engine step the whole control plane sits on) with the plan/template
-// caches on vs off.
-func BenchmarkHotPathWindow(b *testing.B) {
-	for _, cached := range []bool{true, false} {
-		name := "caches=off"
-		if cached {
-			name = "caches=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			prevPlan := simdb.SetPlanCacheEnabled(cached)
-			prevTpl := sqlparse.SetTemplateCacheEnabled(cached)
-			defer func() {
-				simdb.SetPlanCacheEnabled(prevPlan)
-				sqlparse.SetTemplateCacheEnabled(prevTpl)
-			}()
-			eng, err := simdb.NewEngine(simdb.Options{
-				Engine:      knobs.Postgres,
-				Resources:   simdb.Resources{MemoryBytes: 8 * workload.GiB, VCPU: 2, DiskIOPS: 3000, DiskSSD: true},
-				DBSizeBytes: 26 * workload.GiB,
-				Seed:        1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen := workload.NewTPCC(26*workload.GiB, 3300)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.RunWindow(gen, time.Minute); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkHotPathTemplateOf measures SQL→template resolution over a
-// repeating query-log corpus (the TDE tick's access pattern: the same
-// raw strings recur across the log window, so the memo hits).
-func BenchmarkHotPathTemplateOf(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	gen := workload.NewProduction()
-	lines := make([]string, 4096)
-	for i := range lines {
-		lines[i] = gen.Sample(rng).SQL
-	}
-	for _, cached := range []bool{true, false} {
-		name := "cache=off"
-		if cached {
-			name = "cache=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := sqlparse.SetTemplateCacheEnabled(cached)
-			defer sqlparse.SetTemplateCacheEnabled(prev)
-			sqlparse.ResetTemplateCache()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sqlparse.TemplateOf(lines[i%len(lines)])
-			}
-		})
-	}
-}
+// The BO tuner's incremental GP refit, measured against the full refit
+// it replaces; internal/core's TestHotPathCachesAreTransparent proves
+// the incremental path changes only speed, never results.
+// cmd/benchrunner's `hotpath` job runs the same shape and writes
+// BENCH_hotpath.json.
 
 // BenchmarkHotPathGPRefit measures absorbing one new sample into a
 // GP posterior of n=500 training points: the O(n³) full refit the

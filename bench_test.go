@@ -328,14 +328,12 @@ func BenchmarkAblationReservoirSize(b *testing.B) {
 func BenchmarkAblationTemplating(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	gen := workload.NewProduction()
-	lines := make([]string, 4096)
-	for i := range lines {
-		lines[i] = gen.Sample(rng).SQL
-	}
+	lines := workload.Window(gen, rng, 4096)
 	tz := sqlparse.NewTemplatizer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tz.Observe(lines[i%len(lines)])
+		q := lines[i%len(lines)]
+		tz.Observe(q.Template.ID, q.SQL)
 	}
 }
 

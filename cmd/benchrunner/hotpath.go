@@ -5,15 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"autodbaas/internal/experiments"
 	"autodbaas/internal/gp"
-	"autodbaas/internal/knobs"
 	"autodbaas/internal/obs"
-	"autodbaas/internal/simdb"
-	"autodbaas/internal/sqlparse"
-	"autodbaas/internal/workload"
 )
 
 // benchPoint is one measured configuration of a hot-path benchmark.
@@ -35,41 +30,13 @@ type gpRefitPoint struct {
 	benchPoint
 }
 
-// cacheRates is one cache's hit/miss/eviction counts over the fleet run.
-type cacheRates struct {
-	Hits      float64 `json:"hits"`
-	Misses    float64 `json:"misses"`
-	Evictions float64 `json:"evictions"`
-	HitRate   float64 `json:"hit_rate"`
-}
-
-func rates(m obs.CacheMetrics, h0, m0, e0 float64) cacheRates {
-	c := cacheRates{
-		Hits:      m.Hits.Value() - h0,
-		Misses:    m.Misses.Value() - m0,
-		Evictions: m.Evictions.Value() - e0,
-	}
-	if total := c.Hits + c.Misses; total > 0 {
-		c.HitRate = c.Hits / total
-	}
-	return c
-}
-
 // hotpathReport is the machine-readable artifact (BENCH_hotpath.json)
-// for the hot-path pass: micro-benchmarks of each cache toggled on/off,
-// plus the cache hit rates observed over a Fig. 9-style fleet run.
+// for the hot path's remaining cache, the BO tuner's incremental GP
+// refit: a micro-benchmark of full vs incremental refits, plus the share
+// of refits that took the incremental path over a Fig. 9-style fleet run.
 type hotpathReport struct {
 	Quick      bool `json:"quick"`
 	Benchmarks struct {
-		Window struct {
-			CachesOn  benchPoint `json:"caches_on"`
-			CachesOff benchPoint `json:"caches_off"`
-		} `json:"window"`
-		TemplateOf struct {
-			CacheOn  benchPoint `json:"cache_on"`
-			CacheOff benchPoint `json:"cache_off"`
-			Speedup  float64    `json:"speedup"`
-		} `json:"template_of"`
 		GPRefit struct {
 			Full        gpRefitPoint `json:"full"`
 			Incremental gpRefitPoint `json:"incremental"`
@@ -77,80 +44,19 @@ type hotpathReport struct {
 		} `json:"gp_refit"`
 	} `json:"benchmarks"`
 	FleetCacheRates struct {
-		Fleet            int        `json:"fleet"`
-		Hours            int        `json:"hours"`
-		SQLTemplate      cacheRates `json:"sqlparse_template"`
-		SimdbPlan        cacheRates `json:"simdb_plan"`
-		RefitIncremental float64    `json:"gpr_refits_incremental"`
-		RefitFull        float64    `json:"gpr_refits_full"`
-		IncrementalShare float64    `json:"gpr_incremental_share"`
+		Fleet            int     `json:"fleet"`
+		Hours            int     `json:"hours"`
+		RefitIncremental float64 `json:"gpr_refits_incremental"`
+		RefitFull        float64 `json:"gpr_refits_full"`
+		IncrementalShare float64 `json:"gpr_incremental_share"`
 	} `json:"fleet_cache_rates"`
 }
 
-// runHotpath measures the hot-path caches and returns the JSON artifact.
+// runHotpath measures the incremental GP refit and returns the JSON
+// artifact.
 func runHotpath(quick bool, seed int64, parallelism int) string {
 	var rep hotpathReport
 	rep.Quick = quick
-
-	// Window phase: the simulated engine's per-window step with the
-	// plan/template caches on vs off (generated workloads carry jittered
-	// per-query profiles, so this pair bounds the caches' overhead; the
-	// structural speedup of the pass shows against the pre-pass baseline
-	// in EXPERIMENTS.md).
-	window := func(cached bool) testing.BenchmarkResult {
-		prevPlan := simdb.SetPlanCacheEnabled(cached)
-		prevTpl := sqlparse.SetTemplateCacheEnabled(cached)
-		defer func() {
-			simdb.SetPlanCacheEnabled(prevPlan)
-			sqlparse.SetTemplateCacheEnabled(prevTpl)
-		}()
-		eng, err := simdb.NewEngine(simdb.Options{
-			Engine:      knobs.Postgres,
-			Resources:   simdb.Resources{MemoryBytes: 8 * workload.GiB, VCPU: 2, DiskIOPS: 3000, DiskSSD: true},
-			DBSizeBytes: 26 * workload.GiB,
-			Seed:        seed,
-		})
-		if err != nil {
-			panic(err)
-		}
-		gen := workload.NewTPCC(26*workload.GiB, 3300)
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.RunWindow(gen, time.Minute); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	rep.Benchmarks.Window.CachesOn = point(window(true))
-	rep.Benchmarks.Window.CachesOff = point(window(false))
-
-	// Template resolution over a repeating query-log corpus (the TDE
-	// tick's access pattern).
-	templateOf := func(cached bool) testing.BenchmarkResult {
-		prev := sqlparse.SetTemplateCacheEnabled(cached)
-		defer sqlparse.SetTemplateCacheEnabled(prev)
-		sqlparse.ResetTemplateCache()
-		rng := rand.New(rand.NewSource(seed))
-		gen := workload.NewProduction()
-		lines := make([]string, 4096)
-		for i := range lines {
-			lines[i] = gen.Sample(rng).SQL
-		}
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sqlparse.TemplateOf(lines[i%len(lines)])
-			}
-		})
-	}
-	on, off := point(templateOf(true)), point(templateOf(false))
-	rep.Benchmarks.TemplateOf.CacheOn = on
-	rep.Benchmarks.TemplateOf.CacheOff = off
-	if on.NsPerOp > 0 {
-		rep.Benchmarks.TemplateOf.Speedup = float64(off.NsPerOp) / float64(on.NsPerOp)
-	}
 
 	// Absorbing one sample into an n-point GP posterior: full O(n³)
 	// refit vs the rank-1 O(n²) update.
@@ -210,26 +116,20 @@ func runHotpath(quick bool, seed int64, parallelism int) string {
 		rep.Benchmarks.GPRefit.Speedup = float64(full.NsPerOp()) / float64(incr.NsPerOp())
 	}
 
-	// Cache hit rates over a Fig. 9-style fleet run with every cache on.
+	// Refit modes over a Fig. 9-style fleet run.
 	fleet, hours := 20, 12
 	if quick {
 		fleet, hours = 4, 3
 	}
-	tplM, planM := sqlparse.TemplateCacheMetrics(), simdb.PlanCacheMetrics()
 	reg := obs.Default()
 	refitInc := reg.Counter("autodbaas_tuner_gpr_refit_total",
 		"GPR refits by mode (incremental rank-1 update vs full O(n³) fit).", obs.L("mode", "incremental"))
 	refitFull := reg.Counter("autodbaas_tuner_gpr_refit_total",
 		"GPR refits by mode (incremental rank-1 update vs full O(n³) fit).", obs.L("mode", "full"))
-	th0, tm0, te0 := tplM.Hits.Value(), tplM.Misses.Value(), tplM.Evictions.Value()
-	ph0, pm0, pe0 := planM.Hits.Value(), planM.Misses.Value(), planM.Evictions.Value()
 	ri0, rf0 := refitInc.Value(), refitFull.Value()
-	sqlparse.ResetTemplateCache()
 	experiments.Fig9RequestRateParallel(fleet, hours, parallelism, seed)
 	fr := &rep.FleetCacheRates
 	fr.Fleet, fr.Hours = fleet, hours
-	fr.SQLTemplate = rates(tplM, th0, tm0, te0)
-	fr.SimdbPlan = rates(planM, ph0, pm0, pe0)
 	fr.RefitIncremental = refitInc.Value() - ri0
 	fr.RefitFull = refitFull.Value() - rf0
 	if total := fr.RefitIncremental + fr.RefitFull; total > 0 {

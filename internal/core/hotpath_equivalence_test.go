@@ -5,39 +5,22 @@ import (
 	"testing"
 
 	"autodbaas/internal/faults"
-	"autodbaas/internal/simdb"
-	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/tuner/bo"
 )
 
-// setHotPathCaches flips every hot-path cache introduced by the perf
-// pass (SQL template memoisation, engine plan cache, incremental GPR
-// refits) and returns the previous settings.
-func setHotPathCaches(on bool) (tpl, plan, inc bool) {
-	tpl = sqlparse.SetTemplateCacheEnabled(on)
-	plan = simdb.SetPlanCacheEnabled(on)
-	inc = bo.SetIncrementalFit(on)
-	return tpl, plan, inc
-}
-
-// TestHotPathCachesAreTransparent is the acceptance criterion of the
-// hot-path pass: with every cache disabled, the fleet produces exactly
-// the same fingerprint as with them enabled — at every parallelism
-// level, both clean and under the medium chaos profile. The caches are
-// pure memoisations; a single diverging float anywhere in two simulated
-// hours of a six-instance fleet would show up here.
+// TestHotPathCachesAreTransparent pins the one hot-path cache left in
+// the fleet, the BO tuner's incremental GPR refits: with it disabled,
+// the fleet produces exactly the same fingerprint as with it enabled —
+// at every parallelism level, both clean and under the medium chaos
+// profile. A single diverging float anywhere in two simulated hours of
+// a six-instance fleet would show up here.
 func TestHotPathCachesAreTransparent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet sweep")
 	}
 	run := func(cached bool, par int, withFaults bool) (fleetFingerprint, map[string]int64) {
-		tpl, plan, inc := setHotPathCaches(cached)
-		defer func() {
-			sqlparse.SetTemplateCacheEnabled(tpl)
-			simdb.SetPlanCacheEnabled(plan)
-			bo.SetIncrementalFit(inc)
-		}()
-		sqlparse.ResetTemplateCache()
+		prev := bo.SetIncrementalFit(cached)
+		defer bo.SetIncrementalFit(prev)
 		var in *faults.Injector
 		if withFaults {
 			in = faults.New(99, faults.Medium())
@@ -64,10 +47,10 @@ func TestHotPathCachesAreTransparent(t *testing.T) {
 			on, onCounts := run(true, tc.par, tc.withFaults)
 			off, offCounts := run(false, tc.par, tc.withFaults)
 			if !reflect.DeepEqual(on, off) {
-				t.Errorf("caches changed the simulation:\n  cached:   %+v\n  uncached: %+v", on, off)
+				t.Errorf("incremental fit changed the simulation:\n  on:  %+v\n  off: %+v", on, off)
 			}
 			if !reflect.DeepEqual(onCounts, offCounts) {
-				t.Errorf("caches changed injected faults:\n  cached:   %v\n  uncached: %v", onCounts, offCounts)
+				t.Errorf("incremental fit changed injected faults:\n  on:  %v\n  off: %v", onCounts, offCounts)
 			}
 		})
 	}

@@ -47,7 +47,8 @@ func entropySeries(name string, gen workload.Generator, windows, perWindow int, 
 	for w := 0; w < windows; w++ {
 		tz := sqlparse.NewTemplatizer()
 		for i := 0; i < perWindow; i++ {
-			tz.Observe(gen.Sample(rng).SQL)
+			q := gen.Sample(rng)
+			tz.Observe(q.Template.ID, q.SQL)
 		}
 		counts := make([]int, sqlparse.NumClasses)
 		for cls, n := range tz.ClassHistogram() {

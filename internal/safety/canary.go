@@ -64,9 +64,13 @@ func (g *Gate) canary(id string, master *simdb.Engine, gen workload.Generator, c
 	g.m.canaryRuns.Inc()
 
 	// Phase 1: hypothetical pricing of the recent query log.
-	if sqls := master.QueryLog(g.opts.ExplainStatements); len(sqls) > 0 {
-		candMs, nCand := master.HypotheticalRunSQLMs(cand, sqls)
-		curMs, nCur := master.HypotheticalRunSQLMs(nil, sqls)
+	if log := master.QueryLog(g.opts.ExplainStatements); len(log) > 0 {
+		ids := make([]string, len(log))
+		for i, l := range log {
+			ids[i] = l.TemplateID
+		}
+		candMs, nCand := master.HypotheticalRunTemplatesMs(cand, ids)
+		curMs, nCur := master.HypotheticalRunTemplatesMs(nil, ids)
 		if nCand > 0 && nCur > 0 && curMs > 0 && candMs > curMs*(1+g.opts.ExplainTolerancePct) {
 			g.veto(id, ReasonExplain)
 			return Decision{Reason: ReasonExplain,

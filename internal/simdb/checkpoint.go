@@ -10,13 +10,13 @@ import (
 )
 
 // EngineState is the serializable mutable state of one Engine — every
-// field the simulation's determinism depends on. Hot-path caches
-// (flattened knobs, plan cache, window scratch) are deliberately
-// absent: they are exact memoisations of pure functions (proved by the
-// cache-equivalence tests), so a restored engine rebuilds them lazily
-// with identical results. Construction parameters (catalogues,
-// resources, DB size) are likewise absent: restore targets an engine
-// rebuilt with the same Options.
+// field the simulation's determinism depends on. Derived state is
+// deliberately absent: the flattened knob view and the window scratch
+// are rebuilt lazily, and the query log keeps its text but not its
+// template IDs, which a restored engine re-derives from the text on
+// first read. Construction parameters (catalogues, resources, DB size)
+// are likewise absent: restore targets an engine rebuilt with the same
+// Options.
 type EngineState struct {
 	Cfg            knobs.Config `json:"cfg"`
 	PendingRestart knobs.Config `json:"pending_restart,omitempty"`
@@ -47,7 +47,7 @@ type EngineState struct {
 	QueryLogNext int      `json:"query_log_next"`
 	QueryLogFull bool     `json:"query_log_full"`
 
-	// Profiles is the per-template statistics store behind ExplainSQL —
+	// Profiles is the per-template statistics store behind ExplainTemplate —
 	// the TDE's plan evaluation plans from it, so it is state, not cache.
 	Profiles map[string]workload.Query `json:"profiles,omitempty"`
 
@@ -102,8 +102,8 @@ func (e *Engine) CheckpointState() EngineState {
 // RestoreCheckpointState overwrites the engine's mutable state with st.
 // The engine must have been constructed with the same Options as the
 // checkpointed one; construction parameters are validated by the
-// checkpoint manifest, not here. Hot-path caches are invalidated and
-// rebuild lazily.
+// checkpoint manifest, not here. Derived state is invalidated and
+// rebuilds lazily.
 func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -135,6 +135,7 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	e.down = st.Down
 	e.restarts = st.Restarts
 	copy(e.queryLog.buf, st.QueryLog)
+	clear(e.queryLog.ids)
 	e.queryLog.next = st.QueryLogNext
 	e.queryLog.full = st.QueryLogFull
 	e.profiles = nil
@@ -146,8 +147,7 @@ func (e *Engine) RestoreCheckpointState(st EngineState) error {
 	}
 	e.cfgEpoch = st.CfgEpoch
 	e.rngSrc.Restore(st.RNG)
-	// Drop memoisations tied to the pre-restore configuration.
+	// Drop the flattened view of the pre-restore configuration.
 	e.fkValid = false
-	e.planCache = nil
 	return nil
 }

@@ -27,6 +27,7 @@ import (
 	"autodbaas/internal/knobs"
 	"autodbaas/internal/metrics"
 	"autodbaas/internal/prng"
+	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/workload"
 )
 
@@ -125,17 +126,15 @@ type Engine struct {
 	restarts     int
 
 	queryLog *ringLog
-	// profiles caches per-template execution statistics for ExplainSQL.
+	// profiles caches per-template execution statistics for ExplainTemplate.
 	profiles map[string]workload.Query
 
-	// Hot-path caches (see hotpath.go). cfgEpoch advances whenever cfg
-	// changes; fk is the flattened knob view valid for fkEpoch, and
-	// planCache memoises planWith per (template, epoch, profile).
-	cfgEpoch  uint64
-	fk        flatKnobs
-	fkEpoch   uint64
-	fkValid   bool
-	planCache map[string]planEntry
+	// Flattened knob view (see hotpath.go). cfgEpoch advances whenever
+	// cfg changes; fk is valid for fkEpoch.
+	cfgEpoch uint64
+	fk       flatKnobs
+	fkEpoch  uint64
+	fkValid  bool
 	// Reused window scratch (guarded by mu).
 	sampleBuf []workload.Query
 	timesBuf  []float64
@@ -408,8 +407,15 @@ func (e *Engine) Crash() {
 	e.down = true
 }
 
-// QueryLog returns up to n most recent raw SQL strings.
-func (e *Engine) QueryLog(n int) []string {
+// LogLine is one query-log entry: the raw SQL text and the ID of its
+// template.
+type LogLine struct {
+	SQL        string
+	TemplateID string
+}
+
+// QueryLog returns up to n most recent query-log lines, oldest first.
+func (e *Engine) QueryLog(n int) []LogLine {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.queryLog.last(n)
@@ -550,17 +556,23 @@ func semanticMap(eng knobs.Engine) map[string]string {
 
 func (e *Engine) bump(sem string, v float64) { e.counters[sem] += v }
 
-// ringLog is a bounded FIFO of log lines.
+// ringLog is a bounded FIFO of query-log lines. ids holds each line's
+// template ID beside its text. A checkpoint stores the text only, so a
+// restored line has an empty ID until its first read derives it.
 type ringLog struct {
 	buf  []string
+	ids  []string
 	next int
 	full bool
 }
 
-func newRingLog(n int) *ringLog { return &ringLog{buf: make([]string, n)} }
+func newRingLog(n int) *ringLog {
+	return &ringLog{buf: make([]string, n), ids: make([]string, n)}
+}
 
-func (r *ringLog) add(s string) {
-	r.buf[r.next] = s
+func (r *ringLog) add(sql, id string) {
+	r.buf[r.next] = sql
+	r.ids[r.next] = id
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -568,7 +580,7 @@ func (r *ringLog) add(s string) {
 	}
 }
 
-func (r *ringLog) last(n int) []string {
+func (r *ringLog) last(n int) []LogLine {
 	size := r.next
 	if r.full {
 		size = len(r.buf)
@@ -576,13 +588,17 @@ func (r *ringLog) last(n int) []string {
 	if n > size {
 		n = size
 	}
-	out := make([]string, 0, n)
+	out := make([]LogLine, 0, n)
 	start := r.next - n
 	if start < 0 {
 		start += len(r.buf)
 	}
 	for i := 0; i < n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
+		j := (start + i) % len(r.buf)
+		if r.ids[j] == "" {
+			r.ids[j] = sqlparse.TemplateOf(r.buf[j]).ID
+		}
+		out = append(out, LogLine{SQL: r.buf[j], TemplateID: r.ids[j]})
 	}
 	return out
 }

@@ -1,11 +1,14 @@
 package simdb
 
 import (
+	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/workload"
 )
 
@@ -315,13 +318,75 @@ func TestQueryLogCapturesSQL(t *testing.T) {
 		t.Fatalf("log returned %d lines", len(log))
 	}
 	for _, l := range log {
-		if l == "" {
+		if l.SQL == "" {
 			t.Fatal("empty log line")
+		}
+		if want := sqlparse.TemplateOf(l.SQL).ID; l.TemplateID != want {
+			t.Fatalf("logged template ID %q for %q, want %q", l.TemplateID, l.SQL, want)
 		}
 	}
 	if huge := e.QueryLog(1 << 20); len(huge) == 0 || len(huge) > 4096 {
 		t.Fatalf("oversized request returned %d", len(huge))
 	}
+}
+
+// TestQueryLogSurvivesCheckpointRestore: the checkpoint stores log text
+// only, so a restored engine derives template IDs on read. Its log —
+// text and IDs, across a ring wrap-around — must match an engine that
+// never stopped.
+func TestQueryLogSurvivesCheckpointRestore(t *testing.T) {
+	gen := workload.NewTPCC(26*workload.GiB, 3300)
+	mk := func() *Engine {
+		e, err := NewEngine(Options{Engine: knobs.Postgres, Resources: m4Large(),
+			DBSizeBytes: gen.DBSizeBytes(), Seed: 42, QueryLogSize: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	runGen := func(e *Engine, g workload.Generator, windows int) {
+		for i := 0; i < windows; i++ {
+			if _, err := e.RunWindow(g, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run := func(e *Engine, windows int) { runGen(e, gen, windows) }
+	uninterrupted, first := mk(), mk()
+	run(uninterrupted, 3)
+	run(first, 3)
+	raw, err := json.Marshal(first.CheckpointState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st EngineState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	// The restore target has logged other templates; none may survive.
+	restored := mk()
+	runGen(restored, workload.NewYCSB(26*workload.GiB, 800), 3)
+	if err := restored.RestoreCheckpointState(st); err != nil {
+		t.Fatal(err)
+	}
+	compare := func(stage string) {
+		want, got := uninterrupted.QueryLog(500), restored.QueryLog(500)
+		if len(want) != 500 {
+			t.Fatalf("%s: log holds %d lines, want a full ring", stage, len(want))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: restored query log diverges from the uninterrupted one", stage)
+		}
+		for _, l := range got {
+			if id := sqlparse.TemplateOf(l.SQL).ID; l.TemplateID != id {
+				t.Fatalf("%s: template ID %q for %q, want %q", stage, l.TemplateID, l.SQL, id)
+			}
+		}
+	}
+	compare("after restore")
+	run(uninterrupted, 1)
+	run(restored, 1) // overwrites part of the ring; the rest stays restored
+	compare("one window later")
 }
 
 func TestRestartColdCache(t *testing.T) {

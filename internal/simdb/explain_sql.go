@@ -2,28 +2,21 @@ package simdb
 
 import (
 	"autodbaas/internal/knobs"
-	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/workload"
 )
 
 // maxProfiles bounds the template→profile statistics cache.
 const maxProfiles = 4096
 
-// rememberProfileLocked records the execution profile observed for a
-// query's template — the simulator's analogue of the statistics a real
+// rememberProfileLocked records the execution profile observed for
+// template id — the simulator's analogue of the statistics a real
 // engine accumulates and consults when asked to EXPLAIN a statement.
 // Resource demands are kept as high-water marks across instances of the
 // template, matching how per-statement statistics views report peak
 // memory/temp usage.
-func (e *Engine) rememberProfileLocked(q workload.Query) {
+func (e *Engine) rememberProfileLocked(id string, q workload.Query) {
 	if e.profiles == nil {
 		e.profiles = make(map[string]workload.Query, 256)
-	}
-	id := q.Template.ID
-	if id == "" {
-		// Hand-built queries (tests, ad-hoc probes) without a carried
-		// template: derive it once here.
-		id = sqlparse.TemplateOf(q.SQL).ID
 	}
 	old, ok := e.profiles[id]
 	if !ok {
@@ -58,48 +51,31 @@ func (e *Engine) rememberProfileLocked(q workload.Query) {
 	e.profiles[id] = merged
 }
 
-// ExplainSQL plans a raw SQL string using the statistics remembered for
-// its template. It reports ok=false when the template has never been
-// executed (no statistics to plan from).
-func (e *Engine) ExplainSQL(sql string) (Plan, bool) {
-	id := sqlparse.TemplateOf(sql).ID
+// ExplainTemplate plans a template using the statistics remembered for
+// it. It reports ok=false when the template has never been executed (no
+// statistics to plan from).
+func (e *Engine) ExplainTemplate(id string) (Plan, bool) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	q, ok := e.profiles[id]
 	if !ok {
-		e.mu.Unlock()
 		return Plan{}, false
 	}
-	p := e.planCachedLocked(e.flatLocked(), q)
-	e.mu.Unlock()
-	return p, true
+	return e.planWith(e.flatLocked(), q), true
 }
 
-// ExplainSQLWith is ExplainSQL under a config overlay.
-func (e *Engine) ExplainSQLWith(override knobs.Config, sql string) (Plan, bool) {
-	id := sqlparse.TemplateOf(sql).ID
-	e.mu.Lock()
-	q, ok := e.profiles[id]
-	if !ok {
-		e.mu.Unlock()
-		return Plan{}, false
-	}
-	fk, _ := e.overlayLocked(override)
-	p := e.planWith(&fk, q)
-	e.mu.Unlock()
-	return p, true
-}
-
-// HypotheticalRunSQLMs prices raw SQL statements under a config overlay,
-// skipping statements without remembered statistics. It returns the
-// total estimated execution time and how many statements were priced.
-func (e *Engine) HypotheticalRunSQLMs(override knobs.Config, sqls []string) (float64, int) {
+// HypotheticalRunTemplatesMs prices one statement per template ID under
+// a config overlay, skipping templates without remembered statistics. It
+// returns the total estimated execution time and how many statements
+// were priced.
+func (e *Engine) HypotheticalRunTemplatesMs(override knobs.Config, ids []string) (float64, int) {
 	e.mu.Lock()
 	fk, cfg := e.overlayLocked(override)
 	hit := e.hitRatioLocked(cfg)
 	var total float64
 	var n int
-	for _, sql := range sqls {
-		q, ok := e.profiles[sqlparse.TemplateOf(sql).ID]
+	for _, id := range ids {
+		q, ok := e.profiles[id]
 		if !ok {
 			continue
 		}

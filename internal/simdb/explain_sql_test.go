@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/sqlparse"
 	"autodbaas/internal/workload"
 )
 
@@ -16,8 +17,8 @@ func TestExplainSQLAfterExecution(t *testing.T) {
 	}
 	log := e.QueryLog(100)
 	var planned, spilling int
-	for _, sql := range log {
-		p, ok := e.ExplainSQL(sql)
+	for _, l := range log {
+		p, ok := e.ExplainTemplate(l.TemplateID)
 		if !ok {
 			continue
 		}
@@ -36,32 +37,8 @@ func TestExplainSQLAfterExecution(t *testing.T) {
 
 func TestExplainSQLUnknownTemplate(t *testing.T) {
 	e := newPG(t, m4Large(), workload.GiB)
-	if _, ok := e.ExplainSQL("SELECT * FROM never_executed WHERE id = 1"); ok {
+	if _, ok := e.ExplainTemplate(sqlparse.TemplateOf("SELECT * FROM never_executed WHERE id = 1").ID); ok {
 		t.Fatal("unknown template explained")
-	}
-}
-
-func TestExplainSQLWithOverlay(t *testing.T) {
-	e := newPG(t, m4XLarge(), 24*workload.GiB)
-	gen := workload.NewTPCH(24*workload.GiB, 40)
-	if _, err := e.RunWindow(gen, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	sql := e.QueryLog(1)[0]
-	base, ok := e.ExplainSQL(sql)
-	if !ok {
-		t.Fatal("template missing")
-	}
-	big, ok := e.ExplainSQLWith(knobs.Config{
-		"work_mem":             2 * workload.GiB,
-		"maintenance_work_mem": 8 * workload.GiB,
-		"temp_buffers":         4 * workload.GiB,
-	}, sql)
-	if !ok {
-		t.Fatal("overlay explain failed")
-	}
-	if base.UsesDisk && big.UsesDisk {
-		t.Fatal("maximal working memory still spills")
 	}
 }
 
@@ -71,22 +48,25 @@ func TestHypotheticalRunSQL(t *testing.T) {
 	if _, err := e.RunWindow(gen, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	log := e.QueryLog(50)
-	cur, n := e.HypotheticalRunSQLMs(nil, log)
+	var ids []string
+	for _, l := range e.QueryLog(50) {
+		ids = append(ids, l.TemplateID)
+	}
+	cur, n := e.HypotheticalRunTemplatesMs(nil, ids)
 	if n == 0 || cur <= 0 {
 		t.Fatalf("no statements priced: n=%d cur=%g", n, cur)
 	}
 	// Moderate work_mem removes spills without starving the page cache
 	// (a 2 GiB grant would cost more in lost cache than it saves —
 	// the knob tradeoff the tuner has to navigate).
-	better, n2 := e.HypotheticalRunSQLMs(knobs.Config{"work_mem": 512 * 1024 * 1024}, log)
+	better, n2 := e.HypotheticalRunTemplatesMs(knobs.Config{"work_mem": 512 * 1024 * 1024}, ids)
 	if n2 != n {
 		t.Fatalf("priced count changed: %d vs %d", n, n2)
 	}
 	if !(better < cur) {
 		t.Fatalf("bigger work_mem not cheaper: %g vs %g", better, cur)
 	}
-	unknown, n3 := e.HypotheticalRunSQLMs(nil, []string{"SELECT * FROM nowhere"})
+	unknown, n3 := e.HypotheticalRunTemplatesMs(nil, []string{sqlparse.TemplateOf("SELECT * FROM nowhere").ID})
 	if n3 != 0 || unknown != 0 {
 		t.Fatal("unknown statements should be skipped")
 	}

@@ -95,7 +95,8 @@ func TestWindowSplitStability(t *testing.T) {
 	}
 }
 
-// Property: the ring log returns exactly the most recent lines in order.
+// Property: the ring log returns exactly the most recent lines in order,
+// each with the template ID it was added with.
 func TestRingLogProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -105,7 +106,7 @@ func TestRingLogProperty(t *testing.T) {
 		lines := make([]string, n)
 		for i := range lines {
 			lines[i] = string(rune('a'+i%26)) + string(rune('0'+i%10))
-			r.add(lines[i])
+			r.add(lines[i], "id-"+lines[i])
 		}
 		k := rng.Intn(cap + 10)
 		got := r.last(k)
@@ -120,7 +121,7 @@ func TestRingLogProperty(t *testing.T) {
 			return false
 		}
 		for i := range got {
-			if got[i] != lines[n-len(got)+i] {
+			if l := lines[n-len(got)+i]; got[i] != (LogLine{SQL: l, TemplateID: "id-" + l}) {
 				return false
 			}
 		}

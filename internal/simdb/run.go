@@ -102,7 +102,7 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 	workerPool := fk.maxWorkerProcesses // postgres only; 0 for mysql
 
 	for i, q := range sample {
-		plan := e.planCachedLocked(fk, q)
+		plan := e.planWith(fk, q)
 		ms, spill := e.serviceTimeMs(fk, q, hit, plan)
 		ms *= jitter * e.surgeSlowdownLocked()
 		times[i] = ms
@@ -126,8 +126,12 @@ func (e *Engine) RunWindow(gen workload.Generator, dur time.Duration) (WindowSta
 			}
 		}
 		classCounts[q.Class] += scale
-		e.queryLog.add(q.SQL)
-		e.rememberProfileLocked(q)
+		id := q.Template.ID
+		if id == "" { // hand-built queries (tests, ad-hoc probes) carry none
+			id = sqlparse.TemplateOf(q.SQL).ID
+		}
+		e.queryLog.add(q.SQL, id)
+		e.rememberProfileLocked(id, q)
 	}
 	avgMs := sumMs / float64(n)
 	st.AvgServiceMs = avgMs

@@ -262,73 +262,6 @@ func TestIsSpaceByteMatchesUnicode(t *testing.T) {
 	}
 }
 
-// TestTemplateCacheTransparent proves the memo is exact: cached and
-// uncached TemplateOf agree on every corpus entry, twice (second pass
-// hits the cache).
-func TestTemplateCacheTransparent(t *testing.T) {
-	prev := SetTemplateCacheEnabled(true)
-	defer SetTemplateCacheEnabled(prev)
-	ResetTemplateCache()
-	corpus := equivalenceCorpus()
-	for pass := 0; pass < 2; pass++ {
-		for _, sql := range corpus {
-			got := TemplateOf(sql)
-			want := computeTemplate(sql)
-			if got != want {
-				t.Fatalf("pass %d: TemplateOf(%q) = %+v, want %+v", pass, sql, got, want)
-			}
-		}
-	}
-	SetTemplateCacheEnabled(false)
-	for _, sql := range corpus {
-		if got, want := TemplateOf(sql), computeTemplate(sql); got != want {
-			t.Fatalf("disabled: TemplateOf(%q) = %+v, want %+v", sql, got, want)
-		}
-	}
-}
-
-// TestTemplateCacheEviction fills one shard far past capacity and
-// checks the map never exceeds it while lookups stay correct.
-func TestTemplateCacheEviction(t *testing.T) {
-	prev := SetTemplateCacheEnabled(true)
-	defer SetTemplateCacheEnabled(prev)
-	ResetTemplateCache()
-	total := templateCacheShards*templateCacheShardCap + 5000
-	for i := 0; i < total; i++ {
-		TemplateOf(fmt.Sprintf("select c%d from t where id = %d", i, i))
-	}
-	for i := range tplShards {
-		s := &tplShards[i]
-		s.mu.Lock()
-		if len(s.m) > templateCacheShardCap {
-			t.Fatalf("shard %d holds %d entries, cap %d", i, len(s.m), templateCacheShardCap)
-		}
-		if len(s.m) != len(s.ring) {
-			t.Fatalf("shard %d: map %d vs ring %d out of sync", i, len(s.m), len(s.ring))
-		}
-		s.mu.Unlock()
-	}
-	// A fresh lookup after heavy eviction still computes correctly.
-	sql := "select after_eviction from t where id in (1,2,3)"
-	if got, want := TemplateOf(sql), computeTemplate(sql); got != want {
-		t.Fatalf("post-eviction TemplateOf = %+v, want %+v", got, want)
-	}
-}
-
-// TestTemplateOfCacheHitAllocs is the AllocsPerRun regression gate for
-// the template hot path: a cache hit performs zero heap allocations.
-func TestTemplateOfCacheHitAllocs(t *testing.T) {
-	prev := SetTemplateCacheEnabled(true)
-	defer SetTemplateCacheEnabled(prev)
-	ResetTemplateCache()
-	sql := "SELECT ol_amount FROM order_line WHERE ol_o_id = 4242 AND ol_d_id = 7"
-	TemplateOf(sql) // warm
-	allocs := testing.AllocsPerRun(200, func() { TemplateOf(sql) })
-	if allocs > 0 {
-		t.Fatalf("TemplateOf cache hit allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
 // TestNormalizeAllocsBounded: the rewrite allocates only the returned
 // string (the scanner buffer is pooled).
 func TestNormalizeAllocsBounded(t *testing.T) {

@@ -9,10 +9,12 @@
 // power the TDE needs (statement verb, clause markers, literal
 // stripping), which matches how production log-templating tools work.
 //
-// Templating is on the per-query hot path of the whole system (every
-// sampled query and every inspected log line goes through it), so
-// Normalize and Classify are written allocation-free and TemplateOf is
-// memoised behind a sharded LRU (see template_cache.go).
+// Each query is templated once, where it is made: generators carry the
+// Template on every workload.Query, the engine's query log keeps its ID
+// beside the text, and the TDE keys everything by that ID. Normalize
+// and Classify stay allocation-free for the callers that still template
+// text: generator construction, trace loading, hand-built queries and
+// log lines restored from a checkpoint.
 package sqlparse
 
 import (
@@ -279,20 +281,7 @@ func containsAggregate(s string) bool {
 }
 
 // TemplateOf normalizes, classifies and fingerprints a raw SQL string.
-// Results are memoised in a process-wide LRU keyed by the raw text, so
-// re-templating repeated log lines (the TDE tick, trace replay) costs a
-// map lookup. The cache is an exact memo of a pure function: enabling or
-// disabling it never changes the returned Template.
 func TemplateOf(sql string) Template {
-	if tpl, ok := templateCacheGet(sql); ok {
-		return tpl
-	}
-	tpl := computeTemplate(sql)
-	templateCachePut(sql, tpl)
-	return tpl
-}
-
-func computeTemplate(sql string) Template {
 	norm := Normalize(sql)
 	sum := sha256.Sum256([]byte(norm))
 	return Template{
@@ -311,9 +300,6 @@ type Templatizer struct {
 type TemplateStats struct {
 	Template Template
 	Count    int
-	// LastArgsSQL keeps a recent concrete instance so the TDE can run
-	// plan evaluation "with the most frequent parameters substituted".
-	LastArgsSQL string
 }
 
 // NewTemplatizer returns an empty templatizer.
@@ -321,17 +307,17 @@ func NewTemplatizer() *Templatizer {
 	return &Templatizer{templates: make(map[string]*TemplateStats)}
 }
 
-// Observe records one raw query and returns its template.
-func (t *Templatizer) Observe(sql string) Template {
-	tpl := TemplateOf(sql)
-	st, ok := t.templates[tpl.ID]
+// Observe records one query whose template ID is already known and
+// returns its template. sql is templated only the first time id is seen,
+// to fill in the template's text and class.
+func (t *Templatizer) Observe(id, sql string) Template {
+	st, ok := t.templates[id]
 	if !ok {
-		st = &TemplateStats{Template: tpl}
-		t.templates[tpl.ID] = st
+		st = &TemplateStats{Template: TemplateOf(sql)}
+		t.templates[id] = st
 	}
 	st.Count++
-	st.LastArgsSQL = sql
-	return tpl
+	return st.Template
 }
 
 // Stats returns the stats entry for a template ID, or nil.

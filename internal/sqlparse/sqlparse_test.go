@@ -89,9 +89,10 @@ func TestTemplateOfStableID(t *testing.T) {
 
 func TestTemplatizerCountsAndHistogram(t *testing.T) {
 	tz := NewTemplatizer()
-	tz.Observe("SELECT * FROM t WHERE id = 1")
-	tz.Observe("SELECT * FROM t WHERE id = 2")
-	tz.Observe("INSERT INTO t VALUES (1)")
+	observe := func(sql string) Template { return tz.Observe(TemplateOf(sql).ID, sql) }
+	observe("SELECT * FROM t WHERE id = 1")
+	observe("SELECT * FROM t WHERE id = 2")
+	observe("INSERT INTO t VALUES (1)")
 	if tz.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tz.Len())
 	}
@@ -99,13 +100,14 @@ func TestTemplatizerCountsAndHistogram(t *testing.T) {
 	if h[ClassSimpleSelect] != 2 || h[ClassInsert] != 1 {
 		t.Fatalf("histogram = %v", h)
 	}
-	tpl := tz.Observe("SELECT * FROM t WHERE id = 3")
+	tpl := observe("SELECT * FROM t WHERE id = 3")
 	st := tz.Stats(tpl.ID)
 	if st == nil || st.Count != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.LastArgsSQL != "SELECT * FROM t WHERE id = 3" {
-		t.Fatalf("LastArgsSQL = %q", st.LastArgsSQL)
+	// A known ID is trusted: the text is not re-templated.
+	if got := tz.Observe(tpl.ID, "not sql at all"); got != tpl || st.Count != 4 {
+		t.Fatalf("Observe(known id) = %+v (count %d), want %+v", got, st.Count, tpl)
 	}
 	tz.Reset()
 	if tz.Len() != 0 {

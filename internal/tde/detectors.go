@@ -11,7 +11,7 @@ import (
 )
 
 // detectMemoryLocked implements the §3.1 memory-knob detector: sampled
-// templates are EXPLAINed with their most recent concrete parameters;
+// templates are EXPLAINed from the statistics the engine keeps for them;
 // any plan that would use disk for a working area implicates the
 // corresponding memory knob. Throttles pass through the entropy filter,
 // which may convert a run of them into a plan-upgrade signal.
@@ -26,7 +26,7 @@ func (t *TDE) detectMemoryLocked(now time.Time) []Event {
 		if st == nil {
 			continue
 		}
-		plan, ok := t.db.ExplainSQL(st.LastArgsSQL)
+		plan, ok := t.db.ExplainTemplate(id)
 		if !ok || !plan.UsesDisk {
 			continue
 		}
@@ -211,16 +211,16 @@ func (t *TDE) detectAsyncPlannerLocked(now time.Time) []Event {
 	if n > len(ids) {
 		n = len(ids)
 	}
-	sqls := make([]string, 0, n)
+	known := make([]string, 0, n)
 	for _, id := range ids[:n] {
-		if st := t.templatizer.Stats(id); st != nil {
-			sqls = append(sqls, st.LastArgsSQL)
+		if t.templatizer.Stats(id) != nil {
+			known = append(known, id)
 		}
 	}
-	if len(sqls) == 0 {
+	if len(known) == 0 {
 		return nil
 	}
-	cur, priced := t.db.HypotheticalRunSQLMs(nil, sqls)
+	cur, priced := t.db.HypotheticalRunTemplatesMs(nil, known)
 	if priced == 0 || cur <= 0 {
 		return nil
 	}
@@ -235,7 +235,7 @@ func (t *TDE) detectAsyncPlannerLocked(now time.Time) []Event {
 		}
 		act := a.Choose(t.rng)
 		cand := a.Candidate(act)
-		alt, _ := t.db.HypotheticalRunSQLMs(knobs.Config{a.Knob: cand}, sqls)
+		alt, _ := t.db.HypotheticalRunTemplatesMs(knobs.Config{a.Knob: cand}, known)
 		profit := cur - alt
 		rewarded := profit > t.cfg.MDPMinProfitFraction*cur
 		a.Feedback(act, rewarded)

@@ -258,9 +258,9 @@ func (t *TDE) Tick() []Event {
 	now := t.db.Now()
 
 	// Ingest the recent query log through templating + reservoir.
-	for _, sql := range t.db.QueryLog(t.cfg.LogBatch) {
-		tpl := t.templatizer.Observe(sql)
-		t.reservoir.Offer(tpl.ID)
+	for _, l := range t.db.QueryLog(t.cfg.LogBatch) {
+		t.templatizer.Observe(l.TemplateID, l.SQL)
+		t.reservoir.Offer(l.TemplateID)
 	}
 
 	var events []Event

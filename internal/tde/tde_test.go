@@ -1,6 +1,8 @@
 package tde
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -253,5 +255,49 @@ func TestDefaultBaselineValues(t *testing.T) {
 	r, l, ok := b.BgWriterBaseline(nil)
 	if !ok || l != 2.0 || r <= 0 {
 		t.Fatalf("baseline = %g/%g/%v", r, l, ok)
+	}
+}
+
+// TestRestoresTemplatesWithRetiredLastArgsSQL: checkpoints written while
+// TemplateStats still carried a LastArgsSQL field restore unchanged.
+func TestRestoresTemplatesWithRetiredLastArgsSQL(t *testing.T) {
+	db := newEngine(t, knobs.Postgres, 21*workload.GiB)
+	td := newTDE(t, db)
+	drive(t, db, td, workload.NewAdulteratedTPCC(21*workload.GiB, 3000, 0.8), 2, 5*time.Minute)
+	want := td.CheckpointState()
+	if len(want.Templates) == 0 {
+		t.Fatal("no templates observed")
+	}
+	raw, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	var tpls map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc["templates"], &tpls); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range tpls {
+		st["LastArgsSQL"] = json.RawMessage(`"SELECT 1"`)
+	}
+	if doc["templates"], err = json.Marshal(tpls); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	var old State
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	restored := newTDE(t, db)
+	if err := restored.RestoreCheckpointState(old); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.CheckpointState().Templates; !reflect.DeepEqual(got, want.Templates) {
+		t.Fatalf("restored templates differ:\n  got  %+v\n  want %+v", got, want.Templates)
 	}
 }

@@ -53,8 +53,8 @@ type Profile struct {
 // Query is one SQL statement with its execution profile.
 //
 // Template is the pre-computed normalized form of SQL: generators fill
-// it once at construction so the engine's per-query hot path (plan
-// cache lookup, profile memoisation) never re-normalizes the text.
+// it once at construction, and its ID rides through the engine's query
+// log to the TDE, so nothing downstream re-normalizes the text.
 // Class always equals Template.Class when Template is set.
 type Query struct {
 	SQL      string
@@ -118,7 +118,8 @@ func (m *mixSampler) sample(rng *rand.Rand) Query {
 // q builds a Query, templating the SQL text through sqlparse so that
 // generator classes always agree with what the TDE's log pipeline will
 // infer from the same text. The full Template rides along so downstream
-// consumers (plan cache, profile memoisation) skip re-normalizing.
+// consumers (profile memoisation, the query log, the TDE) skip
+// re-normalizing.
 func q(sql string, p Profile) Query {
 	tpl := sqlparse.TemplateOf(sql)
 	return Query{SQL: sql, Class: tpl.Class, Template: tpl, Profile: p}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -268,11 +269,22 @@ func TestSampleDeterministicForSeed(t *testing.T) {
 }
 
 // TestGeneratorTemplatesMatchSQL enforces the litTpl contract: for every
-// generator, a sampled query's precomputed Template must equal what the
-// TDE's log pipeline would derive from its SQL text. A mismatch means a
-// call site used litTpl on a format that interpolates identifiers.
+// generator, a sampled query's precomputed Template must equal what
+// sqlparse derives from its SQL text. The engine's query log carries
+// these templates to the TDE, so they are its only source. A mismatch
+// means a call site used litTpl on a format that interpolates
+// identifiers. Trace replay and the Switch and Schedule wrappers pass
+// templates through and are checked on both sides of their shift.
 func TestGeneratorTemplatesMatchSQL(t *testing.T) {
-	gens := []Generator{
+	type source struct {
+		name   string
+		sample func(rng *rand.Rand, i int) Query
+	}
+	plain := func(g Generator) source {
+		return source{g.Name(), func(rng *rand.Rand, _ int) Query { return g.Sample(rng) }}
+	}
+	var srcs []source
+	for _, g := range []Generator{
 		NewTPCC(4*GiB, 500),
 		NewYCSB(4*GiB, 500),
 		NewWikipedia(4*GiB, 500),
@@ -281,17 +293,50 @@ func TestGeneratorTemplatesMatchSQL(t *testing.T) {
 		NewCHBench(4*GiB, 500),
 		NewProduction(),
 		NewAdulteratedTPCC(4*GiB, 500, 0.8),
+	} {
+		srcs = append(srcs, plain(g))
 	}
+
+	var buf bytes.Buffer
+	if err := RecordTrace(&buf, NewProduction(), rand.New(rand.NewSource(7)), 500); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := LoadTrace(&buf, "replay", 4*GiB, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs = append(srcs, plain(tr))
+
+	sw := NewSwitch(NewTPCC(4*GiB, 500), NewTPCH(4*GiB, 10))
+	srcs = append(srcs, source{"switch", func(rng *rand.Rand, i int) Query {
+		if i == 1000 {
+			sw.Flip()
+		}
+		return sw.Sample(rng)
+	}})
+
+	t0 := time.Date(2021, 3, 23, 0, 0, 0, 0, time.UTC)
+	sched := NewSchedule(
+		SchedulePhase{From: t0, Gen: NewYCSB(4*GiB, 500)},
+		SchedulePhase{From: t0.Add(time.Hour), Gen: NewCHBench(4*GiB, 500)},
+	)
+	srcs = append(srcs, source{"schedule", func(rng *rand.Rand, i int) Query {
+		if i%2 == 0 {
+			return sched.Sample(rng)
+		}
+		return sched.SampleAt(rng, t0.Add(time.Duration(i)*time.Hour/1000)) // both phases
+	}})
+
 	rng := rand.New(rand.NewSource(41))
-	for _, g := range gens {
+	for _, src := range srcs {
 		for i := 0; i < 2000; i++ {
-			qq := g.Sample(rng)
+			qq := src.sample(rng, i)
 			want := sqlparse.TemplateOf(qq.SQL)
 			if qq.Template != want {
-				t.Fatalf("%s: precomputed template diverges for %q:\n  have %+v\n  want %+v", g.Name(), qq.SQL, qq.Template, want)
+				t.Fatalf("%s: precomputed template diverges for %q:\n  have %+v\n  want %+v", src.name, qq.SQL, qq.Template, want)
 			}
 			if qq.Class != want.Class {
-				t.Fatalf("%s: class %v != template class %v for %q", g.Name(), qq.Class, want.Class, qq.SQL)
+				t.Fatalf("%s: class %v != template class %v for %q", src.name, qq.Class, want.Class, qq.SQL)
 			}
 		}
 	}
