@@ -3,10 +3,14 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"runtime"
+	"strings"
 	"time"
 
 	"autodbaas/internal/fleet"
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/obs"
 	"autodbaas/internal/tenant"
 	"autodbaas/internal/tuner"
 	"autodbaas/internal/tuner/bo"
@@ -22,16 +26,35 @@ type fleetSizePoint struct {
 	ProvisionPerInst float64 `json:"provision_us_per_db"` // amortized per database, µs
 	ReconcileUs      float64 `json:"reconcile_us"`        // steady-state reconcile pass, µs
 	StepUsPerOp      float64 `json:"step_us_per_op"`      // one window step / instance, µs
-	DrainMs          float64 `json:"drain_ms"`            // drain + deprovision the whole cohort
+	// MergeShare is the ordered merge's share of step time over the
+	// steady windows, from the step and merge histogram sums.
+	MergeShare float64 `json:"merge_share"`
+	DrainMs    float64 `json:"drain_ms"` // drain + deprovision the whole cohort
 }
 
 // fleetReport is the machine-readable artifact (BENCH_fleet.json) for
 // the elastic fleet service: provision latency, reconcile tick cost and
 // step cost as the fleet scales.
 type fleetReport struct {
-	Quick  bool             `json:"quick"`
-	Seed   int64            `json:"seed"`
-	Points []fleetSizePoint `json:"points"`
+	Quick      bool             `json:"quick"`
+	Seed       int64            `json:"seed"`
+	GOMAXPROCS int              `json:"gomaxprocs"`
+	CPU        string           `json:"cpu"`
+	Points     []fleetSizePoint `json:"points"`
+}
+
+// cpuModel returns the host CPU's model name ("" when unknown).
+func cpuModel() string {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 // benchCatalogue keeps the benchmark cohort cheap and uniform.
@@ -82,11 +105,17 @@ func runFleetBench(size int, seed int64, parallelism int) (fleetSizePoint, error
 
 	// Steady state: a few windows to measure step and reconcile cost.
 	const steadyWindows = 4
+	stepHist := obs.Default().Histogram("autodbaas_core_step_seconds", "", nil)
+	mergeHist := obs.Default().Histogram("autodbaas_core_step_merge_seconds", "", nil)
+	stepSum0, mergeSum0 := stepHist.Sum(), mergeHist.Sum()
 	start = time.Now()
 	if err := svc.RunFor(steadyWindows*5*time.Minute, 5*time.Minute); err != nil {
 		return pt, err
 	}
 	steady := time.Since(start)
+	if d := stepHist.Sum() - stepSum0; d > 0 {
+		pt.MergeShare = (mergeHist.Sum() - mergeSum0) / d
+	}
 	stepPerWindow := steady / steadyWindows
 
 	// The first tick is reconcile(provision all) + one window step;
@@ -137,7 +166,7 @@ func runFleetScaling(quick bool, seed int64, parallelism int) string {
 	if quick {
 		sizes = []int{4, 12, 24}
 	}
-	rep := fleetReport{Quick: quick, Seed: seed}
+	rep := fleetReport{Quick: quick, Seed: seed, GOMAXPROCS: runtime.GOMAXPROCS(0), CPU: cpuModel()}
 	for _, size := range sizes {
 		pt, err := runFleetBench(size, seed, parallelism)
 		if err != nil {

@@ -172,22 +172,26 @@ func (a *Agent) Uploaded() int { return a.uploaded }
 // WindowOutcome is the deferred result of RunWindowLocal: what one
 // observation window produced touching only this agent's own instance.
 // The fleet scheduler runs the local phase for many agents
-// concurrently, then runs the detection round and control-plane side
-// effects with Dispatch in onboarding order, so results are identical
-// to the sequential schedule at any parallelism.
+// concurrently, then finishes the detection round and applies the
+// control-plane side effects with Dispatch in onboarding order, so
+// results are identical to the sequential schedule at any parallelism.
 type WindowOutcome struct {
 	// Stats are the master's window statistics.
 	Stats simdb.WindowStats
 	// Events are the TDE events of the detection round; Dispatch fills
-	// them in (nil when the TDE period had not elapsed).
+	// them in when it finishes the round (nil when the TDE period had
+	// not elapsed).
 	Events []tde.Event
 	// Err is the window error (engine failures other than clean
 	// downtime carry through; simdb.ErrDown is reported but does not
 	// abort the round).
 	Err error
 
-	ticked bool
-	tickAt time.Time
+	// round is the prepared detection round (nil when the TDE period
+	// had not elapsed); prepareWall is the wall time Prepare took.
+	round       *tde.Round
+	prepareWall time.Duration
+	tickAt      time.Time
 }
 
 // RunWindow advances the instance by one observation window: all nodes
@@ -208,12 +212,12 @@ func (a *Agent) RunWindow(dur time.Duration) (simdb.WindowStats, []tde.Event, er
 }
 
 // RunWindowLocal runs the instance-local half of one observation
-// window: the workload executes on every node and the TDE-period gate
-// is checked. Nothing shared is touched — not the director or
-// repository, and not the detection round either, whose checkpoint
-// detector reads a baseline off the (shared) tuner's sample store — so
-// RunWindowLocal calls for distinct agents are safe to run
-// concurrently.
+// window: the workload executes on every node and, once the TDE period
+// has elapsed, the instance-local half of a detection round runs
+// (tde.Prepare). Nothing shared is touched — not the director or
+// repository, and not the bgwriter baseline, which lives in the shared
+// tuner and is read by Dispatch — so RunWindowLocal calls for distinct
+// agents are safe to run concurrently.
 func (a *Agent) RunWindowLocal(dur time.Duration) WindowOutcome {
 	out := WindowOutcome{}
 	master := a.inst.Replica.Master()
@@ -237,33 +241,38 @@ func (a *Agent) RunWindowLocal(dur time.Duration) WindowOutcome {
 		return out
 	}
 	a.lastTick = now
-	out.ticked = true
 	out.tickAt = now
+	start := time.Now()
+	out.round = a.tde.Prepare()
+	out.prepareWall = time.Since(start)
 	return out
 }
 
-// Dispatch runs the detection round for a window outcome and applies
-// its control-plane side effects: TDE events (or the periodic-mode
-// request) go to the director, and the training sample is uploaded to
-// the repository honouring the TDE gate. The detection round belongs
-// here, not in the local phase: its checkpoint detector consults the
-// tuner's baseline, which earlier agents' uploads in the same step may
-// have grown — exactly as in the sequential schedule. Dispatch must be
-// called from one goroutine at a time per agent, in the same order
+// Dispatch finishes the detection round of a window outcome and
+// applies its control-plane side effects: TDE events (or the
+// periodic-mode request) go to the director, and the training sample is
+// uploaded to the repository honouring the TDE gate. Finishing the
+// round belongs here, not in the local phase: the bgwriter detector
+// compares against the tuner's baseline, which earlier agents' uploads
+// in the same step may have grown — exactly as in the sequential
+// schedule. The round's span and wall-time observation are recorded
+// here too, in fleet order, covering Prepare and Finish. Dispatch must
+// be called from one goroutine at a time per agent, in the same order
 // windows ran; it fills out.Events.
 func (a *Agent) Dispatch(out *WindowOutcome) error {
-	if !out.ticked {
+	if out.round == nil {
 		return nil
 	}
 	master := a.inst.Replica.Master()
-	tickStart := time.Now()
+	finishStart := time.Now()
 	span := obs.DefaultTracer().StartAt("agent", "tde-tick", out.tickAt)
 	span.SetAttr("instance", a.inst.ID)
-	out.Events = a.tde.Tick()
+	out.Events = a.tde.Finish(out.round)
+	wall := out.prepareWall + time.Since(finishStart)
 	a.m.tdeTicks.Inc()
-	a.m.tdeSeconds.Observe(time.Since(tickStart).Seconds())
+	a.m.tdeSeconds.Observe(wall.Seconds())
 	span.SetAttr("events", fmt.Sprintf("%d", len(out.Events)))
-	span.SetAttr("wall_ms", fmt.Sprintf("%.3f", time.Since(tickStart).Seconds()*1e3))
+	span.SetAttr("wall_ms", fmt.Sprintf("%.3f", wall.Seconds()*1e3))
 	span.EndAt(master.Now())
 	a.exportDBCounters(master)
 	req := a.buildRequest(out.Stats)

@@ -7,6 +7,7 @@ import (
 
 	"autodbaas/internal/cluster"
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/obs"
 	"autodbaas/internal/tde"
 	"autodbaas/internal/tuner"
 	"autodbaas/internal/workload"
@@ -199,6 +200,51 @@ func TestSlavesRunTheWorkloadToo(t *testing.T) {
 	for i, s := range inst.Replica.Slaves() {
 		if s.Snapshot()["xact_commit"] <= 0 {
 			t.Fatalf("slave %d did not execute the workload", i)
+		}
+	}
+}
+
+// TestLocalPhasePreparesAndDispatchFinishes: RunWindowLocal runs the
+// instance-local half of a due detection round and records nothing;
+// Dispatch finishes it and records the round's span and wall-time
+// observation, so both stay in the ordered merge.
+func TestLocalPhasePreparesAndDispatchFinishes(t *testing.T) {
+	inst := provision(t, "db-7")
+	sink := &recordingSink{}
+	gen := workload.NewAdulteratedTPCC(21*cluster.GiB, 3000, 0.8)
+	a, err := New(inst, gen, sink, sink, Options{TickEvery: 5 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tickSpans := func() int {
+		var n int
+		for _, s := range obs.DefaultTracer().Spans("agent") {
+			if s.Name == "tde-tick" && s.Attrs["instance"] == inst.ID {
+				n++
+			}
+		}
+		return n
+	}
+	for w := 1; w <= 3; w++ {
+		observed := a.m.tdeSeconds.Count()
+		out := a.RunWindowLocal(5 * time.Minute)
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		if a.TDE().Ticks() != w {
+			t.Fatalf("window %d: local phase ran %d rounds", w, a.TDE().Ticks())
+		}
+		if tickSpans() != w-1 || a.m.tdeSeconds.Count() != observed || out.Events != nil {
+			t.Fatalf("window %d: local phase recorded the round", w)
+		}
+		if err := a.Dispatch(&out); err != nil {
+			t.Fatal(err)
+		}
+		if tickSpans() != w || a.m.tdeSeconds.Count() != observed+1 {
+			t.Fatalf("window %d: Dispatch did not record the round", w)
+		}
+		if len(out.Events) == 0 || len(sink.events) == 0 {
+			t.Fatalf("window %d: no events finished and dispatched", w)
 		}
 	}
 }

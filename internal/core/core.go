@@ -467,14 +467,17 @@ func (s *System) snapshotFleet() []stepAgent {
 // monitoring series and dispatching TDE events through the director.
 //
 // The step runs in two phases. First the instance-local window
-// simulation executes on a worker pool of up to Parallelism
-// goroutines; every instance owns its virtual clock and RNG, so this
-// phase has no cross-instance state. Then the detection round and the
-// control-plane side effects (director dispatch, repository upload,
-// monitor sampling) are merged strictly in onboarding order, with the
-// repository's async fan-out drained before each dispatch, so throttle
-// counts, monitor series, tuner state and errors are bit-for-bit
-// identical to the sequential schedule at any worker count.
+// simulation and, when due, the instance-local half of the TDE's
+// detection round (tde.Prepare) execute on a worker pool of up to
+// Parallelism goroutines; every instance owns its virtual clock, RNG
+// and detection state, so this phase has no cross-instance state. Then
+// the rest of the detection round (tde.Finish: the shared bgwriter
+// baseline lookup) and the control-plane side effects (director
+// dispatch, repository upload, monitor sampling) are merged strictly in
+// onboarding order, with the repository's async fan-out drained before
+// each dispatch, so throttle counts, monitor series, tuner state and
+// errors are bit-for-bit identical to the sequential schedule at any
+// worker count.
 func (s *System) Step(dur time.Duration) StepResult {
 	stepStart := time.Now()
 	fleet := s.snapshotFleet()
@@ -522,10 +525,14 @@ func (s *System) Step(dur time.Duration) StepResult {
 		}
 	}
 
-	// Phase 2: ordered control-plane merge. The detection round runs
-	// inside Dispatch — its checkpoint detector reads a baseline off
+	// Phase 2: ordered control-plane merge. Dispatch finishes each
+	// detection round here: the bgwriter detector reads a baseline off
 	// the shared tuner's sample store, which earlier agents' uploads in
-	// this very step grow — so it must execute in fleet order.
+	// this very step grow, so that lookup must execute in fleet order.
+	// Nothing in an earlier agent's dispatch touches this instance's
+	// engine (applies, canaries and rollbacks target the event's own
+	// instance), so the half prepared in phase 1 reads what it would
+	// have read here.
 	mergeStart := time.Now()
 	for i := range fleet {
 		a := fleet[i].a

@@ -3,10 +3,12 @@ package tde
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"autodbaas/internal/entropy"
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/metrics"
 	"autodbaas/internal/sqlparse"
 )
 
@@ -49,7 +51,15 @@ func (t *TDE) detectMemoryLocked(now time.Time) []Event {
 		t.filter.ObserveQuiet()
 	} else {
 		hist := t.classHistogramLocked()
-		for knob, f := range seen {
+		// Visit knobs in a fixed order: the filter holds every Nth
+		// throttle, so map order would pick the held knob at random.
+		knobNames := make([]string, 0, len(seen))
+		for knob := range seen {
+			knobNames = append(knobNames, knob)
+		}
+		sort.Strings(knobNames)
+		for _, knob := range knobNames {
+			f := seen[knob]
 			decision, eta, _ := t.filter.ObserveThrottle(hist, t.atCapLocked(knob))
 			switch decision {
 			case entropy.Forward:
@@ -137,9 +147,19 @@ func (t *TDE) atCapLocked(knob string) bool {
 	return footprint >= 0.85*budget.TotalBytes
 }
 
-// detectBgWriterLocked implements §3.2: compare the live system's
-// checkpoint-rate-to-disk-latency ratio against the mapped baseline.
-func (t *TDE) detectBgWriterLocked(now time.Time) []Event {
+// bgReading is the bgwriter detector's live measurement: the
+// checkpoint rate since the previous round and the disk-write latency.
+type bgReading struct {
+	snap       metrics.Snapshot
+	ckptPerSec float64
+	dlat       float64
+}
+
+// measureBgWriterLocked is the instance-local half of §3.2: it diffs
+// the engine's checkpoint counter against the previous round's snapshot
+// and reads the write latency. It returns nil when there is no
+// checkpoint pressure to compare against a baseline.
+func (t *TDE) measureBgWriterLocked(now time.Time) *bgReading {
 	snap := t.db.Snapshot()
 	elapsed := now.Sub(t.lastSnapAt).Seconds()
 	if elapsed <= 0 {
@@ -166,7 +186,16 @@ func (t *TDE) detectBgWriterLocked(now time.Time) []Event {
 	if dlat <= 0 || ckptDelta <= 0 {
 		return nil
 	}
-	bCkpt, bLat, ok := t.baseline.BgWriterBaseline(snap)
+	return &bgReading{snap: snap, ckptPerSec: ckptDelta / elapsed, dlat: dlat}
+}
+
+// compareBgWriterLocked completes §3.2: the live system's
+// checkpoint-rate-to-disk-latency ratio against the mapped baseline.
+func (t *TDE) compareBgWriterLocked(now time.Time, r *bgReading) []Event {
+	if r == nil {
+		return nil
+	}
+	bCkpt, bLat, ok := t.baseline.BgWriterBaseline(r.snap)
 	if !ok || bLat <= 0 {
 		// Cold tuner (no mapped workload yet): bootstrap from the static
 		// tuned-TPCC reference instead of going blind — otherwise no
@@ -182,7 +211,7 @@ func (t *TDE) detectBgWriterLocked(now time.Time) []Event {
 	// checkpoint *pressure* — which preserves the intended decision:
 	// more frequent checkpoints at worse latency than the baseline ⇒
 	// the bgwriter knobs need tuning.
-	pressureA := (ckptDelta / elapsed) * dlat
+	pressureA := r.ckptPerSec * r.dlat
 	pressureB := bCkpt * bLat
 	if pressureA <= pressureB {
 		return nil
@@ -195,7 +224,7 @@ func (t *TDE) detectBgWriterLocked(now time.Time) []Event {
 		At: now, Kind: KindThrottle, Class: knobs.BgWriter, Knob: knob,
 		Entropy: math.NaN(),
 		Reason: fmt.Sprintf("checkpoint pressure %.2e exceeds mapped baseline %.2e (%.1f ckpt/h at %.2f ms)",
-			pressureA, pressureB, ckptDelta/elapsed*3600, dlat),
+			pressureA, pressureB, r.ckptPerSec*3600, r.dlat),
 	}}
 }
 

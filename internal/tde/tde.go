@@ -15,6 +15,15 @@
 //   - async/planner: a learning-automata MDP perturbs planner knobs by
 //     unit steps and raises a throttle whenever a perturbation shows a
 //     cost/benefit profit (§3.3).
+//
+// A detection round comes in two halves. Prepare does everything that
+// reads only the instance's own engine, templatizer, reservoir and
+// PRNG stream: log ingest, the memory detector, the MDP automata and
+// the bgwriter detector's live checkpoint-rate measurement. Finish
+// reads the bgwriter baseline — in a fleet, the shared tuner's workload
+// mapping — compares against it and counts the round's events. A fleet
+// scheduler runs Prepare for many instances in parallel and Finish in
+// fleet order; Tick is Finish(Prepare()).
 package tde
 
 import (
@@ -250,12 +259,36 @@ func (t *TDE) Ticks() int {
 	return t.ticks
 }
 
-// Tick runs one detection round and returns the raised events.
+// Round is the instance-local half of one detection round, made by
+// Prepare and completed by Finish. It holds the memory and async/planner
+// events and the bgwriter detector's live measurement; only the baseline
+// comparison is left for Finish.
+type Round struct {
+	t        *TDE
+	at       time.Time
+	memory   []Event
+	bgwriter *bgReading // nil: no checkpoint pressure to compare
+	async    []Event
+	done     bool
+}
+
+// Tick runs one detection round and returns the raised events: the
+// sequential composition Finish(Prepare()).
 func (t *TDE) Tick() []Event {
+	return t.Finish(t.Prepare())
+}
+
+// Prepare runs everything in a detection round that reads only this
+// TDE's own engine, templatizer, reservoir and PRNG stream: log ingest,
+// the memory detector with its entropy filter, the bgwriter detector's
+// live measurement, and the MDP automata. Prepare calls for distinct
+// TDEs are safe to run concurrently. Each Round must be passed to
+// Finish before the next Prepare on the same TDE.
+func (t *TDE) Prepare() *Round {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ticks++
-	now := t.db.Now()
+	r := &Round{t: t, at: t.db.Now()}
 
 	// Ingest the recent query log through templating + reservoir.
 	for _, l := range t.db.QueryLog(t.cfg.LogBatch) {
@@ -263,10 +296,33 @@ func (t *TDE) Tick() []Event {
 		t.reservoir.Offer(l.TemplateID)
 	}
 
+	r.memory = t.detectMemoryLocked(r.at)
+	r.bgwriter = t.measureBgWriterLocked(r.at)
+	r.async = t.detectAsyncPlannerLocked(r.at)
+	return r
+}
+
+// Finish completes a prepared round: it reads the bgwriter baseline,
+// which may live in a tuner shared with other instances, compares the
+// live checkpoint pressure against it, and counts the round's throttle
+// and plan-upgrade events. Events come in detector order: memory,
+// bgwriter, async/planner. A nil round, a round of another TDE, or one
+// already finished returns nil and changes nothing.
+func (t *TDE) Finish(r *Round) []Event {
+	if r == nil || r.t != t {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r.done {
+		return nil
+	}
+	r.done = true
+
 	var events []Event
-	events = append(events, t.detectMemoryLocked(now)...)
-	events = append(events, t.detectBgWriterLocked(now)...)
-	events = append(events, t.detectAsyncPlannerLocked(now)...)
+	events = append(events, r.memory...)
+	events = append(events, t.compareBgWriterLocked(r.at, r.bgwriter)...)
+	events = append(events, r.async...)
 
 	for _, ev := range events {
 		switch ev.Kind {

@@ -2,11 +2,14 @@ package tde
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"autodbaas/internal/knobs"
+	"autodbaas/internal/metrics"
 	"autodbaas/internal/simdb"
 	"autodbaas/internal/workload"
 )
@@ -299,5 +302,176 @@ func TestRestoresTemplatesWithRetiredLastArgsSQL(t *testing.T) {
 	}
 	if got := restored.CheckpointState().Templates; !reflect.DeepEqual(got, want.Templates) {
 		t.Fatalf("restored templates differ:\n  got  %+v\n  want %+v", got, want.Templates)
+	}
+}
+
+// mutableBaseline is a Baseline whose reference a test can move between
+// Prepare and Finish.
+type mutableBaseline struct{ ckptPerSec, latMs float64 }
+
+func (b *mutableBaseline) BgWriterBaseline(metrics.Snapshot) (float64, float64, bool) {
+	return b.ckptPerSec, b.latMs, true
+}
+
+func stateJSON(t *testing.T, td *TDE) string {
+	t.Helper()
+	raw, err := json.Marshal(td.CheckpointState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// TestPrepareFinishMatchesTick: a fleet-shaped schedule — run every
+// instance's window, Prepare all of them concurrently, then Finish them
+// in order — yields the same events, counters and checkpoint state as
+// Tick after each window, on a Postgres and a MySQL engine.
+func TestPrepareFinishMatchesTick(t *testing.T) {
+	const windows = 60
+	engines := []knobs.Engine{knobs.Postgres, knobs.MySQL}
+	gen := workload.NewAdulteratedTPCC(21*workload.GiB, 3000, 0.5)
+	var ref, split []*simdb.Engine
+	var refTD, splitTD []*TDE
+	for _, eng := range engines {
+		for _, arm := range []*[]*simdb.Engine{&ref, &split} {
+			*arm = append(*arm, newEngine(t, eng, 21*workload.GiB))
+		}
+		refTD = append(refTD, newTDE(t, ref[len(ref)-1]))
+		splitTD = append(splitTD, newTDE(t, split[len(split)-1]))
+	}
+	classes := map[knobs.Class]bool{}
+	for w := 0; w < windows; w++ {
+		for i := range engines {
+			for _, db := range []*simdb.Engine{ref[i], split[i]} {
+				if _, err := db.RunWindow(gen, 5*time.Minute); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rounds := make([]*Round, len(engines))
+		var wg sync.WaitGroup
+		for i := range engines {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				rounds[i] = splitTD[i].Prepare()
+			}(i)
+		}
+		wg.Wait()
+		for i := range engines {
+			want := refTD[i].Tick()
+			got := splitTD[i].Finish(rounds[i])
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s window %d: events differ:\n  split %v\n  tick  %v", engines[i], w, got, want)
+			}
+			for _, ev := range got {
+				if ev.Kind == KindThrottle {
+					classes[ev.Class] = true
+				}
+			}
+		}
+	}
+	for i := range engines {
+		if !reflect.DeepEqual(splitTD[i].Throttles(), refTD[i].Throttles()) ||
+			splitTD[i].Upgrades() != refTD[i].Upgrades() || splitTD[i].Ticks() != refTD[i].Ticks() {
+			t.Fatalf("%s: counters differ: split %v/%d/%d, tick %v/%d/%d", engines[i],
+				splitTD[i].Throttles(), splitTD[i].Upgrades(), splitTD[i].Ticks(),
+				refTD[i].Throttles(), refTD[i].Upgrades(), refTD[i].Ticks())
+		}
+		if stateJSON(t, splitTD[i]) != stateJSON(t, refTD[i]) {
+			t.Fatalf("%s: checkpoint state differs after %d windows", engines[i], windows)
+		}
+	}
+	if !classes[knobs.Memory] || !classes[knobs.BgWriter] {
+		t.Fatalf("schedule raised throttles of classes %v; need memory and bgwriter to compare", classes)
+	}
+}
+
+// TestFinishReadsBaselineAtFinish: swapping the baseline between
+// Prepare and Finish changes the bgwriter event and nothing else — the
+// round reads the baseline when it finishes, not when it is prepared.
+func TestFinishReadsBaselineAtFinish(t *testing.T) {
+	const windows = 12
+	gen := workload.NewTPCC(26*workload.GiB, 3300)
+	low := mutableBaseline{ckptPerSec: 1e-9, latMs: 1e-3} // any pressure throttles
+	high := mutableBaseline{ckptPerSec: 1e3, latMs: 1e3}  // no pressure throttles
+	arm := func(b Baseline) (*simdb.Engine, *TDE) {
+		db := newEngine(t, knobs.Postgres, 26*workload.GiB)
+		td, err := New(db, DefaultConfig(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, td
+	}
+	lowB, highB := low, high
+	swapped := high
+	lowDB, lowTD := arm(&lowB)
+	highDB, highTD := arm(&highB)
+	swapDB, swapTD := arm(&swapped)
+	withoutBgWriter := func(evs []Event) string {
+		var keep []Event
+		for _, ev := range evs {
+			if ev.Class != knobs.BgWriter {
+				keep = append(keep, ev)
+			}
+		}
+		return fmt.Sprint(keep)
+	}
+	var bgEvents, otherEvents int
+	for w := 0; w < windows; w++ {
+		for _, db := range []*simdb.Engine{lowDB, highDB, swapDB} {
+			if _, err := db.RunWindow(gen, 5*time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+		swapped = high
+		r := swapTD.Prepare()
+		swapped = low
+		got := swapTD.Finish(r)
+		if want := lowTD.Tick(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("window %d: swapped round differs from one run at the finish-time baseline:\n  got  %v\n  want %v", w, got, want)
+		}
+		if got, want := withoutBgWriter(got), withoutBgWriter(highTD.Tick()); got != want {
+			t.Fatalf("window %d: swapping the baseline changed non-bgwriter events:\n  got  %v\n  want %v", w, got, want)
+		}
+		bgEvents += countClass(got, knobs.BgWriter)
+		otherEvents += len(got) - countClass(got, knobs.BgWriter)
+	}
+	if bgEvents == 0 || otherEvents == 0 {
+		t.Fatalf("%d bgwriter and %d other events; the swap needs both to be observed", bgEvents, otherEvents)
+	}
+	if n := highTD.Throttles()[knobs.BgWriter]; n != 0 {
+		t.Fatalf("high baseline still raised %d bgwriter throttles", n)
+	}
+}
+
+// TestFinishRejectsNilRepeatedAndForeignRounds: Finish of nil, of a
+// round already finished, or of another TDE's round returns no events
+// and leaves counters and state untouched.
+func TestFinishRejectsNilRepeatedAndForeignRounds(t *testing.T) {
+	gen := workload.NewAdulteratedTPCC(21*workload.GiB, 3000, 0.8)
+	db := newEngine(t, knobs.Postgres, 21*workload.GiB)
+	td := newTDE(t, db)
+	other := newTDE(t, newEngine(t, knobs.Postgres, 21*workload.GiB))
+	if _, err := db.RunWindow(gen, 5*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	r := td.Prepare()
+	if evs := td.Finish(r); len(evs) == 0 {
+		t.Fatal("spill-heavy window raised no events; nothing to double-count")
+	}
+	before := stateJSON(t, td)
+	otherBefore := stateJSON(t, other)
+	for name, evs := range map[string][]Event{
+		"nil":     td.Finish(nil),
+		"repeat":  td.Finish(r),
+		"foreign": other.Finish(r),
+	} {
+		if evs != nil {
+			t.Fatalf("Finish of a %s round returned %v", name, evs)
+		}
+	}
+	if stateJSON(t, td) != before || stateJSON(t, other) != otherBefore {
+		t.Fatal("a rejected Finish changed TDE state")
 	}
 }

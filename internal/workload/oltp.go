@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"autodbaas/internal/sqlparse"
 )
 
 // TPCC is the classic order-entry OLTP mix: write-heavy (New-Order and
@@ -88,7 +90,16 @@ type YCSB struct {
 	size float64
 	rate float64
 	mix  *mixSampler
+	// updateTpls are the update site's templates, one per field.
+	updateTpls []sqlparse.Template
 }
+
+// ycsbUpdateSQL is YCSB's update format; its first verb picks one of
+// ycsbFields columns.
+const (
+	ycsbUpdateSQL = "UPDATE usertable SET field%d = '%x' WHERE ycsb_key = 'user%d'"
+	ycsbFields    = 10
+)
 
 // NewYCSB returns a YCSB (workload-A-ish) generator.
 func NewYCSB(size, rate float64) *YCSB {
@@ -102,15 +113,17 @@ func NewYCSB(size, rate float64) *YCSB {
 		readTpl   = litTpl(readSQL, 0)
 		insertTpl = litTpl(insertSQL, 0, 0)
 	)
+	y.updateTpls = identTpls(ycsbUpdateSQL, ycsbFields, 2)
 	y.mix = newMixSampler([]choice{
 		{50, func(rng *rand.Rand) Query {
 			return qt(readTpl, fmt.Sprintf(readSQL, rng.Intn(10_000_000)),
 				Profile{ReadBytes: jitter(rng, row), IndexFriendly: true})
 		}},
-		// field%d interpolates a column name — one template per field, so
-		// this site templates the concrete text.
+		// field%d interpolates a column name — one template per field,
+		// picked by the field drawn first.
 		{45, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("UPDATE usertable SET field%d = '%x' WHERE ycsb_key = 'user%d'", rng.Intn(10), rng.Int63(), rng.Intn(10_000_000)),
+			f := rng.Intn(ycsbFields)
+			return qt(y.updateTpls[f], fmt.Sprintf(ycsbUpdateSQL, f, rng.Int63(), rng.Intn(10_000_000)),
 				Profile{ReadBytes: jitter(rng, row), WriteBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 		{5, func(rng *rand.Rand) Query {

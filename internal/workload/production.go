@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
+
+	"autodbaas/internal/sqlparse"
 )
 
 // Production substitutes for the paper's 33-day live customer trace:
@@ -32,45 +35,80 @@ const ProductionDBSize = 59 * GiB
 // ProductionQueriesPerDay is the traced average daily query volume.
 const ProductionQueriesPerDay = 42_130_000.0
 
+// Production's call-site formats. The events_%d sites interpolate a
+// table name — one template per table, the point of the 132-table
+// schema — through their first verb; every other verb is a literal.
+const (
+	prodInsertSQL = "INSERT INTO events_%d (device_id, ts, payload) VALUES (%d, %d, '%x')"
+	prodLookupSQL = "SELECT payload FROM events_%d WHERE device_id = %d AND ts > %d"
+	prodAggSQL    = "SELECT device_id, COUNT(*), MAX(ts) FROM events_%d WHERE ts > %d GROUP BY device_id ORDER BY 2 DESC"
+	prodJoinSQL   = "SELECT a.device_id FROM events_%d a JOIN devices d ON a.device_id = d.id WHERE d.region = 'R%d'"
+	prodDeleteSQL = "DELETE FROM events_%d WHERE ts < %d"
+	devUpdateSQL  = "UPDATE devices SET last_seen = %d WHERE id = %d"
+)
+
+// prodTableTemplates are the per-table templates of Production's
+// events_%d sites, indexed by table number.
+type prodTableTemplates struct {
+	insert, lookup, agg, join, del []sqlparse.Template
+}
+
+// prodTemplates builds the per-table templates once per process and
+// shares them across every Production, so a large fleet's set-up does
+// not re-template all 660 variants per generator.
+var prodTemplates = sync.OnceValue(func() prodTableTemplates {
+	return prodTableTemplates{
+		insert: identTpls(prodInsertSQL, ProductionTables, 3),
+		lookup: identTpls(prodLookupSQL, ProductionTables, 2),
+		agg:    identTpls(prodAggSQL, ProductionTables, 1),
+		join:   identTpls(prodJoinSQL, ProductionTables, 1),
+		del:    identTpls(prodDeleteSQL, ProductionTables, 1),
+	}
+})
+
 // NewProduction returns the production-trace generator.
 func NewProduction() *Production {
 	p := &Production{}
 	row := 700.0
 	table := func(rng *rand.Rand) int { return rng.Intn(ProductionTables) }
-	const devUpdateSQL = "UPDATE devices SET last_seen = %d WHERE id = %d"
+	tpls := prodTemplates()
 	devUpdateTpl := litTpl(devUpdateSQL, 0, 0)
+	// Each site draws the table before its literals: reordering the
+	// draws would change every seeded query stream.
 	p.mix = newMixSampler([]choice{
 		// Telemetry ingest: the overwhelming majority (41M/day).
 		{41_000_000, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("INSERT INTO events_%d (device_id, ts, payload) VALUES (%d, %d, '%x')", table(rng), rng.Intn(500_000), rng.Int63n(2e9), rng.Int63()),
+			tbl := table(rng)
+			return qt(tpls.insert[tbl], fmt.Sprintf(prodInsertSQL, tbl, rng.Intn(500_000), rng.Int63n(2e9), rng.Int63()),
 				Profile{WriteBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 		// Point lookups (71K/day stated + unaccounted remainder ≈ 1M/day).
 		{1_000_000, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("SELECT payload FROM events_%d WHERE device_id = %d AND ts > %d", table(rng), rng.Intn(500_000), rng.Int63n(2e9)),
+			tbl := table(rng)
+			return qt(tpls.lookup[tbl], fmt.Sprintf(prodLookupSQL, tbl, rng.Intn(500_000), rng.Int63n(2e9)),
 				Profile{ReadBytes: jitter(rng, 20*row), IndexFriendly: true})
 		}},
 		// Dashboard aggregations (reporting, mornings in practice).
 		{80_000, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("SELECT device_id, COUNT(*), MAX(ts) FROM events_%d WHERE ts > %d GROUP BY device_id ORDER BY 2 DESC", table(rng), rng.Int63n(2e9)),
+			tbl := table(rng)
+			return qt(tpls.agg[tbl], fmt.Sprintf(prodAggSQL, tbl, rng.Int63n(2e9)),
 				Profile{MemDemand: jitter(rng, 48*MiB), ReadBytes: jitter(rng, 200*MiB), Parallelizable: true})
 		}},
 		// Cross-table correlation joins.
 		{30_000, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("SELECT a.device_id FROM events_%d a JOIN devices d ON a.device_id = d.id WHERE d.region = 'R%d'", table(rng), rng.Intn(20)),
+			tbl := table(rng)
+			return qt(tpls.join[tbl], fmt.Sprintf(prodJoinSQL, tbl, rng.Intn(20)),
 				Profile{MemDemand: jitter(rng, 24*MiB), ReadBytes: jitter(rng, 80*MiB), Parallelizable: true})
 		}},
-		// Updates (34K/day). The events_%d sites above interpolate table
-		// names (one template per table — the point of the 132-table
-		// schema) and so keep templating the concrete text; this one is
-		// literal-only.
+		// Updates (34K/day).
 		{34_000, func(rng *rand.Rand) Query {
 			return qt(devUpdateTpl, fmt.Sprintf(devUpdateSQL, rng.Int63n(2e9), rng.Intn(500_000)),
 				Profile{ReadBytes: jitter(rng, 2*row), WriteBytes: jitter(rng, row), IndexFriendly: true})
 		}},
 		// Deletes (0.8K/day, retention cleanup).
 		{800, func(rng *rand.Rand) Query {
-			return q(fmt.Sprintf("DELETE FROM events_%d WHERE ts < %d", table(rng), rng.Int63n(1e9)),
+			tbl := table(rng)
+			return qt(tpls.del[tbl], fmt.Sprintf(prodDeleteSQL, tbl, rng.Int63n(1e9)),
 				Profile{MaintMem: jitter(rng, 16*MiB), ReadBytes: jitter(rng, 10*MiB), WriteBytes: jitter(rng, 5*MiB)})
 		}},
 	})

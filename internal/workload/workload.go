@@ -132,10 +132,30 @@ func q(sql string, p Profile) Query {
 // at generator construction — from a canonical instantiation with the
 // given args — takes the normalize/hash work off the per-query path.
 // Formats that interpolate identifiers (table or column names) yield a
-// different template per instantiation and must keep using q.
+// different template per identifier: identTpls covers those drawn from
+// a small set, and the rest keep using q.
 // TestGeneratorTemplatesMatchSQL enforces the literal-only contract.
 func litTpl(format string, canon ...any) sqlparse.Template {
 	return sqlparse.TemplateOf(fmt.Sprintf(format, canon...))
+}
+
+// identTpls derives the templates of a printf-style SQL format whose
+// first verb interpolates an identifier suffix (a table or column
+// number in [0, n)) and whose remaining lits verbs all expand to
+// literals. Entry i is the template every instantiation with suffix i
+// shares, so a call site picks its template by the suffix it drew
+// instead of templating the concrete text.
+func identTpls(format string, n, lits int) []sqlparse.Template {
+	args := make([]any, 1+lits)
+	for i := range args {
+		args[i] = 0
+	}
+	out := make([]sqlparse.Template, n)
+	for i := range out {
+		args[0] = i
+		out[i] = litTpl(format, args...)
+	}
+	return out
 }
 
 // qt builds a Query from SQL whose template is already known (a litTpl

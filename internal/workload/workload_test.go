@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -338,6 +339,49 @@ func TestGeneratorTemplatesMatchSQL(t *testing.T) {
 			if qq.Class != want.Class {
 				t.Fatalf("%s: class %v != template class %v for %q", src.name, qq.Class, want.Class, qq.SQL)
 			}
+		}
+	}
+}
+
+// TestIdentifierTemplatesMatchSQL checks every precomputed entry of the
+// identifier-interpolating sites — Production's five events_%d sites
+// over all 132 tables and YCSB's ten update fields — against TemplateOf
+// of an instantiation with random literal arguments. Sampling alone
+// would almost never reach every table of the rare delete site.
+func TestIdentifierTemplatesMatchSQL(t *testing.T) {
+	type site struct {
+		format  string
+		n, lits int
+		tpls    []sqlparse.Template
+	}
+	pt := prodTemplates()
+	sites := []site{
+		{prodInsertSQL, ProductionTables, 3, pt.insert},
+		{prodLookupSQL, ProductionTables, 2, pt.lookup},
+		{prodAggSQL, ProductionTables, 1, pt.agg},
+		{prodJoinSQL, ProductionTables, 1, pt.join},
+		{prodDeleteSQL, ProductionTables, 1, pt.del},
+		{ycsbUpdateSQL, ycsbFields, 2, NewYCSB(4*GiB, 500).updateTpls},
+	}
+	rng := rand.New(rand.NewSource(43))
+	for _, s := range sites {
+		if len(s.tpls) != s.n {
+			t.Fatalf("%q: %d templates, want %d", s.format, len(s.tpls), s.n)
+		}
+		seen := make(map[string]bool, len(s.tpls))
+		for i, tpl := range s.tpls {
+			args := []any{i}
+			for j := 0; j < s.lits; j++ {
+				args = append(args, rng.Int63())
+			}
+			sql := fmt.Sprintf(s.format, args...)
+			if got := sqlparse.TemplateOf(sql); tpl != got {
+				t.Fatalf("entry %d of %q diverges for %q:\n  have %+v\n  want %+v", i, s.format, sql, tpl, got)
+			}
+			seen[tpl.ID] = true
+		}
+		if len(seen) != len(s.tpls) {
+			t.Fatalf("%q: %d distinct templates over %d identifiers", s.format, len(seen), len(s.tpls))
 		}
 	}
 }
